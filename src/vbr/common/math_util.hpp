@@ -9,10 +9,17 @@
 
 namespace vbr {
 
-/// Kahan-compensated running sum.
+/// Kahan-compensated running sum. add() is defined here so hot loops (the
+/// streaming Hosking kernel runs one per stream per tap) inline it; its
+/// rounding relies on the library's -ffp-contract=off (src/CMakeLists.txt).
 class KahanSum {
  public:
-  void add(double value);
+  void add(double value) {
+    const double y = value - compensation_;
+    const double t = sum_ + y;
+    compensation_ = (t - sum_) - y;
+    sum_ = t;
+  }
   double value() const { return sum_; }
 
   /// The compensation term, exposed (with from_parts) so a checkpoint can

@@ -1,6 +1,7 @@
 #include "vbr/service/streaming_hosking.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -124,29 +125,100 @@ double StreamingHosking::innovation_variance() const {
   return coeffs_->v[order];
 }
 
-double StreamingHosking::next_sample() {
-  const std::uint64_t k = position_;
-  double x = 0.0;
-  if (k == 0) {
-    x = rng_.normal(0.0, std::sqrt(coeffs_->v[0]));
-  } else {
-    const auto order = static_cast<std::size_t>(std::min<std::uint64_t>(k, horizon_));
-    const std::vector<double>& phi = coeffs_->phi[order - 1];
-    KahanSum m_acc;
-    for (std::size_t j = 1; j <= order; ++j) {
-      m_acc.add(phi[j - 1] * ring_[static_cast<std::size_t>((k - j) % horizon_)]);
-    }
-    x = rng_.normal(m_acc.value(), std::sqrt(coeffs_->v[order]));
+std::uint64_t StreamingHosking::batch_key() const {
+  return std::min<std::uint64_t>(position_, horizon_);
+}
+
+template <std::size_t G>
+void StreamingHosking::advance_group(StreamingHosking* const* group, std::size_t n,
+                                     double* const* dst) {
+  const StreamingHosking& lead = *group[0];
+  const HoskingCoeffTable& table = *lead.coeffs_;
+  const std::size_t horizon = lead.horizon_;
+  std::array<double*, G> ring{};
+  std::array<std::size_t, G> head{};  // ring slot of each stream's next sample
+  for (std::size_t q = 0; q < G; ++q) {
+    ring[q] = group[q]->ring_.data();
+    head[q] = static_cast<std::size_t>(group[q]->position_ % horizon);
   }
-  VBR_DCHECK(std::isfinite(x), "non-finite streaming Hosking sample");
-  ring_[static_cast<std::size_t>(k % horizon_)] = x;
-  ++position_;
-  return x;
+  for (std::size_t i = 0; i < n; ++i) {
+    // Equal batch keys mean equal orders at every step: either the streams
+    // sit at one position below the horizon, or all are past it.
+    const auto order =
+        static_cast<std::size_t>(std::min<std::uint64_t>(lead.position_ + i, horizon));
+    std::array<KahanSum, G> acc{};
+    if (order > 0) {
+      // Tap j reads the sample j steps back: slot top - j with top = head
+      // while j <= head, then top = head + horizon once the read wraps. The
+      // taps run in segments over which no stream's top changes, so the
+      // inner loop needs no modulo.
+      const double* phi = table.phi[order - 1].data();
+      std::array<std::size_t, G> top = head;
+      std::array<std::size_t, G> last = head;  // last tap before the wrap
+      std::size_t j = 1;
+      while (j <= order) {
+        std::size_t end = order;
+        for (std::size_t q = 0; q < G; ++q) {
+          if (last[q] < j) {
+            top[q] += horizon;
+            last[q] = order;
+          } else {
+            end = std::min(end, last[q]);
+          }
+        }
+        for (; j <= end; ++j) {
+          const double c = phi[j - 1];
+          for (std::size_t q = 0; q < G; ++q) acc[q].add(c * ring[q][top[q] - j]);
+        }
+      }
+    }
+    // The draws, one per stream in stream order, from each stream's own Rng.
+    const double sd = std::sqrt(table.v[order]);
+    for (std::size_t q = 0; q < G; ++q) {
+      const double x = group[q]->rng_.normal(acc[q].value(), sd);
+      VBR_DCHECK(std::isfinite(x), "non-finite streaming Hosking sample");
+      ring[q][head[q]] = x;
+      dst[q][i] = x;
+      head[q] = head[q] + 1 == horizon ? 0 : head[q] + 1;
+    }
+  }
+  for (std::size_t q = 0; q < G; ++q) group[q]->position_ += n;
+}
+
+void StreamingHosking::next_group(std::span<StreamingSource* const> group, std::size_t n,
+                                  std::span<std::vector<double>* const> outs) {
+  VBR_ENSURE(!group.empty() && group.size() <= kMaxStreamGroup && outs.size() == group.size(),
+             "a stream group needs 1..kMaxStreamGroup members and one output per member");
+  std::array<StreamingHosking*, kMaxStreamGroup> members{};
+  std::array<double*, kMaxStreamGroup> dst{};
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    members[q] = static_cast<StreamingHosking*>(group[q]);
+    VBR_DCHECK(dynamic_cast<StreamingHosking*>(group[q]) != nullptr &&
+                   members[q]->options_.hurst == options_.hurst &&
+                   members[q]->options_.variance == options_.variance &&
+                   members[q]->horizon_ == horizon_ && members[q]->batch_key() == batch_key(),
+               "a Hosking stream group must share one configuration and one predictor order");
+  }
+  if (n == 0) return;
+  // Grow every output before any stream advances, so an allocation failure
+  // leaves the whole group untouched.
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    const std::size_t base = outs[q]->size();
+    outs[q]->resize(base + n);
+    dst[q] = outs[q]->data() + base;
+  }
+  static_assert(kMaxStreamGroup == 8, "one kernel instantiation per group size");
+  using Kernel = void (*)(StreamingHosking* const*, std::size_t, double* const*);
+  static constexpr std::array<Kernel, kMaxStreamGroup> kKernels = {
+      &advance_group<1>, &advance_group<2>, &advance_group<3>, &advance_group<4>,
+      &advance_group<5>, &advance_group<6>, &advance_group<7>, &advance_group<8>};
+  kKernels[group.size() - 1](members.data(), n, dst.data());
 }
 
 void StreamingHosking::next_block(std::size_t n, std::vector<double>& out) {
-  out.reserve(out.size() + n);
-  for (std::size_t i = 0; i < n; ++i) out.push_back(next_sample());
+  StreamingSource* self = this;
+  std::vector<double>* target = &out;
+  next_group({&self, 1}, n, {&target, 1});
 }
 
 void StreamingHosking::save(std::ostream& out) const {

@@ -14,12 +14,21 @@
 // (H, variance, m), so all streams of one service share a single immutable
 // table through a process-wide cache — per-stream state is just the
 // m-sample ring, the Rng, and a position counter.
+//
+// Generation is one group kernel: up to kMaxStreamGroup streams that share
+// a predictor order advance together, each through its own Kahan chain with
+// the taps in the same order j = 1..order, followed by one normal draw per
+// stream in stream order. Every stream therefore performs exactly the
+// operations it would alone, so batching never changes a bit; it only lets
+// the independent latency-bound chains overlap. next_block is the
+// one-stream case of the same kernel.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vbr/common/rng.hpp"
@@ -45,6 +54,12 @@ class StreamingHosking final : public StreamingSource {
 
   using StreamingSource::next_block;
   void next_block(std::size_t n, std::vector<double>& out) override;
+  /// The predictor order of the next draw, min(position, horizon): streams
+  /// of one configuration with equal keys share every order until they
+  /// advance apart.
+  std::uint64_t batch_key() const override;
+  void next_group(std::span<StreamingSource* const> group, std::size_t n,
+                  std::span<std::vector<double>* const> outs) override;
   std::uint64_t position() const override { return position_; }
   const char* kind() const override { return "hosking-stream"; }
   void save(std::ostream& out) const override;
@@ -68,7 +83,10 @@ class StreamingHosking final : public StreamingSource {
   std::vector<double> ring_;  ///< last min(position, horizon) samples
   std::uint64_t position_ = 0;
 
-  double next_sample();
+  /// The group kernel for G streams of one configuration and one
+  /// batch_key(): appends n samples of group[q] at dst[q][0..n).
+  template <std::size_t G>
+  static void advance_group(StreamingHosking* const* group, std::size_t n, double* const* dst);
 };
 
 }  // namespace vbr::service

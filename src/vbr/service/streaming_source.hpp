@@ -47,12 +47,16 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "vbr/common/rng.hpp"
 #include "vbr/model/vbr_source.hpp"
 
 namespace vbr::service {
+
+/// Largest group one StreamingSource::next_group() call advances.
+inline constexpr std::size_t kMaxStreamGroup = 8;
 
 /// One endless sample stream in bounded memory.
 class StreamingSource {
@@ -70,6 +74,25 @@ class StreamingSource {
     out.reserve(n);
     next_block(n, out);
     return out;
+  }
+
+  /// batch_key() of a source that always advances alone.
+  static constexpr std::uint64_t kUnbatched = ~std::uint64_t{0};
+
+  /// Sources built from one configuration whose batch_key()s are equal and
+  /// not kUnbatched may be advanced together by one next_group() call. The
+  /// key may change as the stream advances (streaming Hosking reports its
+  /// predictor order); the default never batches.
+  virtual std::uint64_t batch_key() const { return kUnbatched; }
+
+  /// Advance every source in `group` by `n` samples, appending group[q]'s
+  /// samples to *outs[q]; called on group.front(), with at most
+  /// kMaxStreamGroup members that share one configuration and one
+  /// batch_key(). Each member emits exactly what its own next_block(n)
+  /// would. The default does just that, one member at a time.
+  virtual void next_group(std::span<StreamingSource* const> group, std::size_t n,
+                          std::span<std::vector<double>* const> outs) {
+    for (std::size_t q = 0; q < group.size(); ++q) group[q]->next_block(n, *outs[q]);
   }
 
   /// Samples emitted so far.

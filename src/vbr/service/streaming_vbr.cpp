@@ -1,6 +1,7 @@
 #include "vbr/service/streaming_vbr.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <map>
@@ -95,6 +96,37 @@ void StreamingVbrSource::next_block(std::size_t n, std::vector<double>& out) {
   // buffer, so the wrapper adds nothing to the per-stream footprint.
   const std::size_t base = out.size();
   core_->next_block(n, out);
+  apply_head(out, base);
+}
+
+std::uint64_t StreamingVbrSource::batch_key() const {
+  return core_ ? core_->batch_key() : kUnbatched;
+}
+
+void StreamingVbrSource::next_group(std::span<StreamingSource* const> group, std::size_t n,
+                                    std::span<std::vector<double>* const> outs) {
+  if (batch_key() == kUnbatched) {
+    StreamingSource::next_group(group, n, outs);
+    return;
+  }
+  VBR_ENSURE(group.size() <= kMaxStreamGroup && outs.size() == group.size(),
+             "a stream group needs at most kMaxStreamGroup members and one output per member");
+  std::array<StreamingVbrSource*, kMaxStreamGroup> members{};
+  std::array<StreamingSource*, kMaxStreamGroup> cores{};
+  std::array<std::size_t, kMaxStreamGroup> base{};
+  for (std::size_t q = 0; q < group.size(); ++q) {
+    members[q] = static_cast<StreamingVbrSource*>(group[q]);
+    VBR_DCHECK(dynamic_cast<StreamingVbrSource*>(group[q]) != nullptr &&
+                   members[q]->variant_ == variant_ && members[q]->backend_ == backend_,
+               "a VBR stream group must share one configuration");
+    cores[q] = members[q]->core_.get();
+    base[q] = outs[q]->size();
+  }
+  core_->next_group({cores.data(), group.size()}, n, outs);
+  for (std::size_t q = 0; q < group.size(); ++q) members[q]->apply_head(*outs[q], base[q]);
+}
+
+void StreamingVbrSource::apply_head(std::vector<double>& out, std::size_t base) const {
   if (variant_ == model::ModelVariant::kGaussianFarima) {
     for (std::size_t i = base; i < out.size(); ++i) {
       VBR_DCHECK(std::isfinite(out[i]), "non-finite Gaussian core sample");

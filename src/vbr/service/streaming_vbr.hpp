@@ -42,6 +42,13 @@ class StreamingVbrSource final : public StreamingSource {
 
   using StreamingSource::next_block;
   void next_block(std::size_t n, std::vector<double>& out) override;
+  /// The core's key for kFull and kGaussianFarima (the heads are stateless
+  /// per sample); kIidGammaPareto streams advance alone.
+  std::uint64_t batch_key() const override;
+  /// Forwards the group to the cores' kernel, then applies each member's
+  /// head to its own samples.
+  void next_group(std::span<StreamingSource* const> group, std::size_t n,
+                  std::span<std::vector<double>* const> outs) override;
   std::uint64_t position() const override;
   const char* kind() const override { return "vbr-stream"; }
   void save(std::ostream& out) const override;
@@ -60,6 +67,9 @@ class StreamingVbrSource final : public StreamingSource {
   std::unique_ptr<stats::GammaParetoDistribution> marginal_;  ///< kIidGammaPareto only
   Rng rng_;                                      ///< kIidGammaPareto only
   std::uint64_t iid_position_ = 0;
+
+  /// Map core samples out[base..] through the variant's head, in place.
+  void apply_head(std::vector<double>& out, std::size_t base) const;
 };
 
 }  // namespace vbr::service
