@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -232,6 +234,109 @@ TEST(FaultIsolationTest, SnapshotEveryRoundKeepsTheFleetBitIdentical) {
   OverloadGovernor governor(service, gov_config);
   advance_total(governor, 48, 16);
   EXPECT_EQ(service.results_hash(), reference.results_hash());
+}
+
+/// Emits its own sample index; throws a stray (unscheduled) TransientError
+/// when it reaches `throw_at`.
+class StrayFaultSource final : public StreamingSource {
+ public:
+  explicit StrayFaultSource(std::uint64_t throw_at) : throw_at_(throw_at) {}
+  void next_block(std::size_t n, std::vector<double>& out) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (position_ == throw_at_) throw TransientError("stray fault");
+      out.push_back(static_cast<double>(position_++));
+    }
+  }
+  std::uint64_t position() const override { return position_; }
+  const char* kind() const override { return "stray-fault-test-stream"; }
+  void save(std::ostream& /*out*/) const override {}
+  void restore(std::istream& /*in*/) override {}
+
+ private:
+  std::uint64_t throw_at_;
+  std::uint64_t position_ = 0;
+};
+
+TEST(FaultIsolationTest, StrayThrowInAGroupQuarantinesEveryMemberAtItsRoundStart) {
+  constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  TrafficService service(small_config(8));
+  OverloadGovernor governor(service, GovernorConfig{});
+
+  // Members advance at different positions; the middle one throws part-way
+  // through the second round, after the first member has already advanced.
+  StrayFaultSource a(kNever);
+  StrayFaultSource b(13);
+  StrayFaultSource c(kNever);
+  StrayFaultSource d(kNever);
+  std::vector<double> out_a, out_b, out_c, out_d;
+  const auto run_group = [&](std::span<const std::size_t> ids,
+                             std::span<StreamingSource* const> members,
+                             std::span<std::vector<double>* const> outs) {
+    for (std::vector<double>* out : outs) out->clear();
+    return governor.generate_group(ids, members, 8, outs);
+  };
+
+  const std::array<std::size_t, 3> group_ids = {1, 2, 3};
+  const std::array<StreamingSource*, 3> group = {&a, &b, &c};
+  const std::array<std::vector<double>*, 3> group_outs = {&out_a, &out_b, &out_c};
+  ASSERT_TRUE(run_group(group_ids, group, group_outs));
+  EXPECT_EQ(out_b.size(), 8u);
+  EXPECT_TRUE(governor.failures().empty());
+  EXPECT_FALSE(run_group(group_ids, group, group_outs));
+
+  // Every member is recorded at its round-start position with its output
+  // discarded, whichever member threw.
+  const std::vector<StreamFailure> failures = governor.failures();
+  ASSERT_EQ(failures.size(), 3u);
+  for (std::size_t q = 0; q < 3; ++q) {
+    EXPECT_EQ(failures[q].stream, group_ids[q]);
+    EXPECT_TRUE(failures[q].transient);
+    EXPECT_EQ(failures[q].position, 8u);
+    EXPECT_EQ(failures[q].attempts, 1u);
+    EXPECT_NE(failures[q].error.find("stray fault"), std::string::npos);
+    EXPECT_TRUE(group_outs[q]->empty()) << "member " << q;
+  }
+
+  // Another group of the same round still serves in full.
+  const std::array<std::size_t, 1> other_ids = {4};
+  const std::array<StreamingSource*, 1> other = {&d};
+  const std::array<std::vector<double>*, 1> other_outs = {&out_d};
+  ASSERT_TRUE(run_group(other_ids, other, other_outs));
+  EXPECT_EQ(out_d.size(), 8u);
+  EXPECT_EQ(governor.quarantined_streams(), 3u);
+}
+
+TEST(FaultIsolationTest, UnbatchedFleetUnderTheGovernorMatchesTheUngovernedRun) {
+  // Streams that never batch run as groups of one on the unguarded path.
+  constexpr std::size_t kStreams = 12;
+  constexpr std::uint64_t kSamples = 48;
+  const auto unbatched = [](model::ModelVariant variant, model::GeneratorBackend backend) {
+    ServiceConfig config = small_config(kStreams);
+    config.variant = variant;
+    config.backend = backend;
+    config.tuning.paxson_window = 64;
+    config.tuning.paxson_overlap = 8;
+    return config;
+  };
+  for (const ServiceConfig& config :
+       {unbatched(model::ModelVariant::kIidGammaPareto, model::GeneratorBackend::kHosking),
+        unbatched(model::ModelVariant::kGaussianFarima, model::GeneratorBackend::kPaxson)}) {
+    TrafficService reference(config);
+    reference.advance_round(static_cast<std::size_t>(kSamples));
+
+    TrafficService service(config);
+    GovernorConfig gov_config;
+    gov_config.stream_faults = {{5, 20, run::FaultKind::kPermanent, 1}};
+    OverloadGovernor governor(service, gov_config);
+    advance_total(governor, kSamples, 16);
+
+    ASSERT_EQ(governor.failures().size(), 1u);
+    EXPECT_EQ(service.stream_position(5), 20u);
+    for (std::size_t i = 0; i < kStreams; ++i) {
+      if (i == 5) continue;
+      EXPECT_EQ(service.stream_digest(i), reference.stream_digest(i)) << "stream " << i;
+    }
+  }
 }
 
 TEST(FaultIsolationTest, RejectsStreamShapedFaultKindsAndBadStreams) {
