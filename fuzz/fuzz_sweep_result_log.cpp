@@ -1,7 +1,6 @@
 // Fuzz harness: the VBRSWPL1 result-log scanner.
 //
-// Three paths per input, extending the fuzz_sweep_manifest dual-path trick
-// to an append-only format. First the raw bytes go straight into
+// Three paths per input. First the raw bytes go straight into
 // scan_result_log(), exercising the sealed-header envelope (magic, version,
 // size, CRC) and the header field validation. Because a random mutation
 // almost never survives the header CRC, the input is then replayed as the

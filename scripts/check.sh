@@ -97,7 +97,7 @@ if [[ $run_fuzz -eq 1 ]]; then
   # accepts the same flags, so this line works with either toolchain.
   for pair in huffman_decode:huffman rle_decode:rle trace_io:trace_io \
               stream_reader:stream_reader checkpoint:checkpoint \
-              sweep_manifest:sweep_manifest sweep_result_log:sweep_result_log \
+              sweep_result_log:sweep_result_log \
               generation_plan:generation_plan \
               service_checkpoint:service_checkpoint; do
     harness="${pair%%:*}" corpus="${pair##*:}"

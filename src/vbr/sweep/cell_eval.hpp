@@ -11,7 +11,7 @@
 // guarantees are built entirely on this property.
 //
 // The serialized form is raw little-endian f64 bit patterns (vbr::io), so
-// the manifest round-trips results at 0 ulp and the sweep soak can compare
+// the result log round-trips results at 0 ulp and the sweep soak can compare
 // merged results byte-for-byte.
 #pragma once
 
@@ -25,7 +25,7 @@ namespace vbr::sweep {
 /// Result of one evaluated cell. Queue-specific fields are zero when they
 /// do not apply (overflow_probability / required_capacity_bps are fBm-only).
 /// Every field is deterministic — no wall-clock or rusage diagnostics here;
-/// those live in the manifest's failure/diagnostic records.
+/// those live in the settled record's CellFailure (cell_record.hpp).
 struct CellResult {
   double mean_rate_bps = 0.0;       ///< realized aggregate mean arrival rate
   double capacity_bps = 0.0;        ///< total service rate (mean / utilization)

@@ -1,10 +1,9 @@
-// The VBRSWPL1 append-only result log: O(1) checkpoint cost per settled
-// cell, at million-cell scale.
+// The VBRSWPL1 append-only result log: the sweep's one checkpoint format,
+// O(1) write cost per settled cell at million-cell scale.
 //
-// The PR 5 manifest rewrote every settled record after every settle — an
-// O(cells) write per cell that caps a sweep at thousands of cells. The log
-// replaces it with one sealed header followed by one CRC-framed record per
-// settled cell:
+// Rewriting every settled record after every settle would cost O(cells) per
+// cell and cap a sweep at thousands of cells. The log instead holds one
+// sealed header followed by one CRC-framed record per settled cell:
 //
 //   sealed header (run/envelope, magic "VBRSWPL1"):
 //     u64 sweep_fingerprint     the grid identity (sweep_plan fingerprint)
@@ -13,18 +12,18 @@
 //     u64 shard_count / u64 shard_index
 //     u64 first_cell / u64 end_cell   this shard's row-major range [first, end)
 //   then per settled cell (run/envelope seal_record):
-//     u64 size + u32 CRC-32 + write_cell_record bytes
+//     u64 size + u32 CRC-32 + write_cell_record bytes (cell_record.hpp)
 //
 // Appends are a single write(2) of one whole frame, so a SIGKILL at any
 // instant leaves at worst a torn *tail*: recovery scans the healthy prefix,
 // truncates the tail back to the last whole record, and replays the settled
-// cells without re-running them — exactly the PR 4 trace-recovery
-// discipline, applied to the sweep checkpoint. A log whose sealed header
+// cells without re-running them — the trace-recovery discipline, applied
+// to the sweep checkpoint. A log whose sealed header
 // identifies a different grid or shard is rejected with an IoError naming
 // both fingerprints (never silently re-seeded); a CRC-valid record with an
 // out-of-range index or a conflicting duplicate is corruption, not a crash
 // artifact, and rejects the log too. scan_result_log is the pure surface
-// fuzz_result_log drives.
+// fuzz_sweep_result_log drives.
 #pragma once
 
 #include <array>
@@ -35,7 +34,7 @@
 #include <string>
 #include <vector>
 
-#include "vbr/sweep/manifest.hpp"
+#include "vbr/sweep/cell_record.hpp"
 
 namespace vbr::sweep {
 
@@ -84,7 +83,7 @@ struct ResultLogScan {
 /// then read framed records until the stream ends or a torn frame stops the
 /// scan. Torn tails are *returned*, not thrown; corruption inside the
 /// CRC-valid prefix (bad index/status/kind, conflicting duplicates) throws
-/// vbr::IoError. This is the pure core fuzz_result_log drives.
+/// vbr::IoError. This is the pure core fuzz_sweep_result_log drives.
 ResultLogScan scan_result_log(std::istream& in, const std::string& name,
                               const ResultLogHeader* expected);
 

@@ -23,7 +23,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "vbr/sweep/manifest.hpp"
+#include "vbr/sweep/cell_record.hpp"
 #include "vbr/sweep/result_log.hpp"
 #include "vbr/sweep/sweep_plan.hpp"
 

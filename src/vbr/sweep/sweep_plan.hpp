@@ -26,7 +26,7 @@ enum class QueueKind : std::uint32_t {
   kFbm = 3,    ///< Norros fractional-Brownian analytic queue
 };
 
-/// Parse/format helpers for CLI and manifest reporting.
+/// Parse/format helpers for CLI and report output.
 const char* queue_kind_name(QueueKind kind);
 QueueKind parse_queue_kind(const std::string& name);
 
@@ -72,7 +72,7 @@ CellSpec cell_at(const SweepGrid& grid, std::size_t index);
 /// cell count.
 std::vector<std::uint64_t> derive_cell_seeds(const SweepGrid& grid);
 
-/// FNV-1a over every semantic grid field. A resume whose manifest carries a
+/// FNV-1a over every semantic grid field. A resume whose log carries a
 /// different fingerprint is rejected instead of silently blending sweeps.
 std::uint64_t sweep_fingerprint(const SweepGrid& grid);
 

@@ -8,10 +8,11 @@
 // past the watchdog deadline — is classified as crash/hang/OOM from the
 // exit status and rusage.
 //
-// Frame format (child -> parent):
+// Frame format (child -> parent), the shared run/envelope frame:
 //
 //   8 bytes  magic "VBRWRKR1"
-//   u64      payload size
+//   u32      version (1)
+//   u64      payload size (<= kMaxWorkerFrame)
 //   u32      CRC-32 of the payload
 //   payload  u8 tag (0 = result, 1 = failure)
 //            result:  CellResult (8 raw f64 bit patterns)
@@ -34,7 +35,7 @@
 #include <string_view>
 
 #include "vbr/sweep/cell_eval.hpp"
-#include "vbr/sweep/manifest.hpp"
+#include "vbr/sweep/cell_record.hpp"
 
 namespace vbr::sweep {
 
@@ -81,8 +82,8 @@ struct WorkerMessage {
   std::string message;             ///< valid when !is_result
 };
 
-/// Parse one complete frame. Throws vbr::IoError on bad magic, size/CRC
-/// mismatch, truncation, unknown tag, or trailing bytes.
+/// Parse one complete frame. Throws vbr::IoError on bad magic or version,
+/// size/CRC mismatch, truncation, unknown tag, or trailing bytes.
 WorkerMessage parse_worker_message(std::string_view bytes);
 
 }  // namespace vbr::sweep

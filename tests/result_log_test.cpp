@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "vbr/common/error.hpp"
 #include "vbr/run/envelope.hpp"
@@ -62,10 +64,20 @@ CellRecord quarantined_record(std::uint64_t index) {
   record.cell_index = index;
   record.status = CellStatus::kQuarantined;
   record.failure.kind = FailureKind::kHang;
+  record.failure.exit_code = -7;
+  record.failure.term_signal = SIGKILL;
   record.failure.attempts = 3;
+  record.failure.max_rss_kib = 5120;
+  record.failure.wall_seconds = 1.5;
   record.failure.message = "watchdog deadline exceeded";
   record.failure.stderr_tail = "noise";
   return record;
+}
+
+std::string record_bytes(const CellRecord& record) {
+  std::ostringstream out(std::ios::binary);
+  write_cell_record(out, record);
+  return out.str();
 }
 
 std::string read_file(const std::filesystem::path& path) {
@@ -143,7 +155,17 @@ TEST(ResultLogScan, RoundTripsRecordsAndHeader) {
   EXPECT_EQ(scan.records[0].cell_index, 4u);
   EXPECT_EQ(scan.records[0].result, done_record(4).result);
   EXPECT_EQ(scan.records[1].cell_index, 6u);
-  EXPECT_EQ(scan.records[1].failure.message, "watchdog deadline exceeded");
+  EXPECT_EQ(scan.records[1].status, CellStatus::kQuarantined);
+  const CellFailure& want = quarantined_record(6).failure;
+  const CellFailure& got = scan.records[1].failure;
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.exit_code, want.exit_code);
+  EXPECT_EQ(got.term_signal, want.term_signal);
+  EXPECT_EQ(got.attempts, want.attempts);
+  EXPECT_EQ(got.max_rss_kib, want.max_rss_kib);
+  EXPECT_EQ(got.wall_seconds, want.wall_seconds);
+  EXPECT_EQ(got.message, want.message);
+  EXPECT_EQ(got.stderr_tail, want.stderr_tail);
   EXPECT_EQ(scan.valid_bytes, bytes.size());
   EXPECT_EQ(scan.torn_bytes, 0u);
   EXPECT_EQ(scan.duplicate_records, 0u);
@@ -253,18 +275,49 @@ TEST(ResultLogScan, RecordBitFlipTearsTheTail) {
 }
 
 TEST(ResultLogScan, CrcValidOutOfRangeRecordIsCorruptionNotATear) {
-  // A record whose CRC checks out but whose cell index is outside the
-  // shard's range was never written by a healthy pool: reject loudly.
+  // A record whose CRC checks out but whose fields are out of range was
+  // never written by a healthy pool: reject loudly instead of truncating.
   const ResultLogHeader header = sample_header();
   TempLog log("outofrange");
   ResultLogWriter writer = ResultLogWriter::create(log.path(), header, false);
   writer.append(done_record(4));
   writer.close();
-  std::string bytes = read_file(log.path());
-  std::ostringstream rogue(std::ios::binary);
-  write_cell_record(rogue, done_record(12));  // outside [4, 8)
-  bytes += vbr::run::seal_record(rogue.str());
-  EXPECT_THROW((void)scan_bytes(bytes, &header), IoError);
+  const std::string prefix = read_file(log.path());
+
+  // Record layout: u64 cell_index, u8 status, then (quarantined) u32 kind.
+  std::string bad_status = record_bytes(quarantined_record(5));
+  bad_status[8] = 3;
+  std::string kind_zero = record_bytes(quarantined_record(5));
+  kind_zero[9] = 0;
+  std::string kind_five = kind_zero;
+  kind_five[9] = 5;
+  CellRecord long_message = quarantined_record(5);
+  long_message.failure.message.assign(4097, 'm');
+  CellRecord long_tail = quarantined_record(5);
+  long_tail.failure.stderr_tail.assign(8193, 't');
+
+  const std::pair<const char*, std::string> rogues[] = {
+      {"cell index outside [4, 8)", record_bytes(done_record(12))},
+      {"status byte 3", bad_status},
+      {"failure kind 0", kind_zero},
+      {"failure kind 5", kind_five},
+      {"message over 4096 B", record_bytes(long_message)},
+      {"stderr tail over 8192 B", record_bytes(long_tail)},
+  };
+  for (const auto& [what, payload] : rogues) {
+    EXPECT_THROW((void)scan_bytes(prefix + vbr::run::seal_record(payload), &header),
+                 IoError)
+        << what;
+  }
+
+  // At the bounds themselves the strings are legal.
+  long_message.failure.message.pop_back();
+  long_message.failure.stderr_tail.assign(8192, 't');
+  const ResultLogScan scan =
+      scan_bytes(prefix + vbr::run::seal_record(record_bytes(long_message)), &header);
+  ASSERT_EQ(scan.records.size(), 2u);
+  EXPECT_EQ(scan.records[1].failure.message.size(), 4096u);
+  EXPECT_EQ(scan.records[1].failure.stderr_tail.size(), 8192u);
 }
 
 TEST(ResultLogScan, DuplicatesCollapseConflictsReject) {
@@ -282,9 +335,7 @@ TEST(ResultLogScan, DuplicatesCollapseConflictsReject) {
   // Same cell, different deterministic bytes: the purity contract broke.
   CellRecord conflicting = done_record(4);
   conflicting.result.loss_rate *= 2.0;
-  std::ostringstream payload(std::ios::binary);
-  write_cell_record(payload, conflicting);
-  const std::string poisoned = bytes + vbr::run::seal_record(payload.str());
+  const std::string poisoned = bytes + vbr::run::seal_record(record_bytes(conflicting));
   EXPECT_THROW((void)scan_bytes(poisoned, &header), IoError);
 }
 
